@@ -1,6 +1,6 @@
 //! Finger B-tree aggregator (FiBA) window state.
 //!
-//! An order-maintaining B-tree over `(timestamp, seq)` keys whose nodes cache
+//! An order-maintaining B-tree over `u64`-pair keys whose nodes cache
 //! the combined partial aggregate, entry count, and key range of their
 //! subtree. Two *finger* pointers (leftmost / rightmost leaf) make the common
 //! insert positions — appends at the front of eviction or the back of arrival
@@ -12,6 +12,12 @@
 //! root, trading the paper's lazy up-spine scheme for a simpler structure —
 //! what the tree eliminates is the legacy window state's `O(n)` per-straggler
 //! data movement, not the logarithmic repair.
+//!
+//! [`FibaTree::upsert_with`] updates the entry at a key in place, inserting
+//! it first when absent. The window operator keys its time trees on slice
+//! start and folds each event into its slice this way, so an event that
+//! lands in an existing slice adds no entry: it costs the finger locate and
+//! the cache repair above the leaf.
 //!
 //! Window slides use [`FibaTree::evict_before`], the bulk eviction of the
 //! FiBA sequel (arXiv 2307.11210) adapted to this layout: whole subtrees left
@@ -41,8 +47,8 @@ pub enum WindowState {
     Legacy,
 }
 
-/// Composite tree key: `(timestamp, seq)` for event-time trees, or
-/// `(ordered f64 bits, disambiguator)` for value-indexed trees.
+/// Composite tree key: `(slice start, 0)` for the window operator's time
+/// trees, or `(ordered f64 bits, disambiguator)` for value-indexed trees.
 pub type FibaKey = (u64, u64);
 
 /// A partial aggregate stored at tree entries and combined into node caches.
@@ -55,7 +61,8 @@ pub trait FibaItem: Clone {
     fn combine(&mut self, later: &Self);
 
     /// Overwrite `self` with `src`, reusing existing buffers where possible
-    /// (the cache-repair path calls this once per level per insert).
+    /// (the cache-repair path calls this once per level per insert or
+    /// update).
     fn assign_from(&mut self, src: &Self) {
         self.clone_from(src);
     }
@@ -251,7 +258,7 @@ impl<I: FibaItem> FibaTree<I> {
                 if first {
                     match acc {
                         Some(a) => a.assign_from(src),
-                        // quill-lint: allow(hot-path-alloc, reason = "one-time aggregate buffer allocation when a node first gains entries; reused via assign_from afterwards")
+                        // quill-lint: allow(hot-path-alloc, reason = "aggregate buffer allocation only when a node goes from empty to non-empty (an emptied leaf gaining its first entry), never per update; reused via assign_from afterwards")
                         None => *acc = Some(src.clone()),
                     }
                     first = false;
@@ -268,12 +275,15 @@ impl<I: FibaItem> FibaTree<I> {
             node.hi = hi;
             node.agg = agg;
         } else {
-            let children = self.nodes[n as usize].children.clone();
             let mut count = 0u64;
             let mut lo = (0, 0);
             let mut hi = (0, 0);
             let mut first = true;
-            for &c in &children {
+            // Index the child list rather than cloning it: the repair runs
+            // once per level per update, so a clone here is a heap
+            // allocation per level.
+            for i in 0..self.nodes[n as usize].children.len() {
+                let c = self.nodes[n as usize].children[i];
                 let child_count = self.nodes[c as usize].count;
                 if child_count == 0 {
                     continue;
@@ -288,7 +298,7 @@ impl<I: FibaItem> FibaTree<I> {
                 if first {
                     match acc {
                         Some(a) => a.assign_from(src),
-                        // quill-lint: allow(hot-path-alloc, reason = "one-time aggregate buffer allocation when a node first gains entries; reused via assign_from afterwards")
+                        // quill-lint: allow(hot-path-alloc, reason = "aggregate buffer allocation only when a node goes from empty to non-empty (an emptied leaf gaining its first entry), never per update; reused via assign_from afterwards")
                         None => *acc = Some(src.clone()),
                     }
                     first = false;
@@ -369,8 +379,8 @@ impl<I: FibaItem> FibaTree<I> {
             let mut r = Node::new_leaf(parent);
             r.children = children;
             let ri = self.alloc(r);
-            let moved = self.nodes[ri as usize].children.clone();
-            for c in moved {
+            for i in 0..self.nodes[ri as usize].children.len() {
+                let c = self.nodes[ri as usize].children[i];
                 self.nodes[c as usize].parent = ri;
             }
             ri
@@ -400,14 +410,61 @@ impl<I: FibaItem> FibaTree<I> {
     /// existing equals (stable order).
     pub fn insert(&mut self, key: FibaKey, item: I) {
         let leaf = self.locate_leaf(key);
+        let pos = self.nodes[leaf as usize]
+            .keys
+            .partition_point(|k| *k <= key);
+        self.insert_at(leaf, pos, key, item);
+    }
+
+    /// Apply `update` in place to the entry at `key`, first inserting
+    /// `make()` there when no entry has that key, and repair the caches
+    /// above it. Returns whether an entry was inserted. In-order upserts
+    /// reach the rightmost leaf from the right finger without a root
+    /// descent. Meant for trees with unique keys: among duplicate keys,
+    /// which equal entry gets updated is unspecified.
+    pub fn upsert_with(
+        &mut self,
+        key: FibaKey,
+        make: impl FnOnce() -> I,
+        update: impl FnOnce(&mut I),
+    ) -> bool {
+        let leaf = self.locate_leaf(key);
+        let node = &mut self.nodes[leaf as usize];
+        let pos = node.keys.partition_point(|k| *k < key);
+        if node.keys.get(pos) == Some(&key) {
+            update(&mut node.items[pos]);
+            self.repair_from(leaf);
+            return false;
+        }
+        let mut item = make();
+        update(&mut item);
+        self.insert_at(leaf, pos, key, item);
+        true
+    }
+
+    /// Put `key` at position `pos` of `leaf`, then repair and rebalance.
+    fn insert_at(&mut self, leaf: u32, pos: usize, key: FibaKey, item: I) {
         {
             let node = &mut self.nodes[leaf as usize];
-            let pos = node.keys.partition_point(|k| *k <= key);
             node.keys.insert(pos, key);
             node.items.insert(pos, item);
         }
         self.len += 1;
-        // Repair (and split where overfull) from the leaf to the root.
+        let split_any = self.repair_from(leaf);
+        // Splits move leaves; a plain insert can still extend past the old
+        // fingers on either side.
+        if split_any
+            || self.nodes[self.left_finger as usize].lo > key
+            || self.nodes[self.left_finger as usize].count == 0
+            || self.nodes[self.right_finger as usize].hi < key
+        {
+            self.refresh_fingers();
+        }
+    }
+
+    /// Repair (and split where overfull) from `leaf` to the root. Returns
+    /// whether any node split.
+    fn repair_from(&mut self, leaf: u32) -> bool {
         let mut cur = leaf;
         let mut split_any = false;
         loop {
@@ -424,18 +481,9 @@ impl<I: FibaItem> FibaTree<I> {
             }
             let parent = self.nodes[cur as usize].parent;
             if parent == NIL {
-                break;
+                return split_any;
             }
             cur = parent;
-        }
-        // Splits move leaves; a plain insert can still extend past the old
-        // fingers on either side.
-        if split_any
-            || self.nodes[self.left_finger as usize].lo > key
-            || self.nodes[self.left_finger as usize].count == 0
-            || self.nodes[self.right_finger as usize].hi < key
-        {
-            self.refresh_fingers();
         }
     }
 

@@ -31,12 +31,14 @@
 //! * **FiBA** ([`crate::fiba`], selected via
 //!   [`WindowAggregateOp::with_window_state`] with
 //!   [`WindowState::Fiba`](crate::fiba::WindowState)): per key, one finger
-//!   B-tree over `(ts, seq)` keys holds a combinable partial per event;
-//!   window finalize is a range query over cached subtree combines, and the
-//!   slide bulk-evicts everything no later window can cover. Order-statistic
-//!   aggregates (Median/Quantile) keep a value-indexed FiBA per open window
-//!   whose subtree counts answer rank queries in `O(log n)` — replacing the
-//!   legacy sorted-`Vec`'s `O(n)` shift per out-of-order insert. Applies to
+//!   B-tree keyed on slice start holds one combinable [`Pane`] per slice of
+//!   the `gcd(length, slide)` grid, and each event combines in place into
+//!   its slice; window finalize is a range query over cached subtree
+//!   combines, and the slide bulk-evicts everything no later window can
+//!   cover. Order-statistic aggregates (Median/Quantile) keep a
+//!   value-indexed FiBA per open window whose subtree counts answer rank
+//!   queries in `O(log n)` — replacing the legacy sorted-`Vec`'s `O(n)`
+//!   shift per out-of-order insert. Applies to
 //!   tumbling and sliding (aligned or not) under the `Drop` policy; `Revise`
 //!   falls back to the per-window path.
 
@@ -158,7 +160,9 @@ struct PerWindowState {
 /// which makes output deterministic.
 type StateKey = (Timestamp, Timestamp, Key);
 
-/// One pane's mergeable partials plus its event count.
+/// One pane's mergeable partials plus its event count. Also the item of the
+/// FiBA time tree, where it holds one slice.
+#[derive(Clone)]
 struct Pane {
     partials: Vec<PaneAgg>,
     rows: u64,
@@ -217,18 +221,21 @@ struct PanedState {
     pending: BTreeSet<(Timestamp, Key)>,
 }
 
-/// One event's combinable partials, stored as the item of the per-key time
-/// tree. Combining in `(ts, seq)` key order reproduces the per-window path's
-/// insertion-order fold exactly (the shard stages deliver equal-timestamp
-/// events in `seq` order), so Edge/Arg tie rules agree between backends.
-#[derive(Clone)]
-struct EventSlice(Vec<PaneAgg>);
-
-impl FibaItem for EventSlice {
+/// A slice's partials in the time tree. Events fold into their slice in
+/// arrival order, exactly as the per-window path folds them into a window,
+/// and the tree combines slices in time order. Equal timestamps always share
+/// a slice, so Edge/Arg tie rules agree between backends.
+impl FibaItem for Pane {
     fn combine(&mut self, later: &Self) {
-        for (a, b) in self.0.iter_mut().zip(&later.0) {
+        for (a, b) in self.partials.iter_mut().zip(&later.partials) {
             a.merge(b);
         }
+        self.rows += later.rows;
+    }
+
+    fn assign_from(&mut self, src: &Self) {
+        self.partials.clone_from(&src.partials);
+        self.rows = src.rows;
     }
 }
 
@@ -244,10 +251,11 @@ enum OrderStat {
 }
 
 /// FiBA state for one grouping key.
+#[derive(Default)]
 struct FibaKeyState {
-    /// Finger B-tree over `(ts, seq)` holding one [`EventSlice`] per
-    /// accepted event; window finalize is `range_agg` over `[start, end)`.
-    time: FibaTree<EventSlice>,
+    /// Finger B-tree keyed `(slice start, 0)` holding one [`Pane`] per
+    /// non-empty slice; window finalize is `range_agg` over `[start, end)`.
+    time: FibaTree<Pane>,
     /// Per still-open `(end, start)` window: one [`OrderStat`] per
     /// non-combinable spec, in spec order. Empty when every spec is
     /// combinable.
@@ -261,6 +269,9 @@ struct FibaKeyState {
 struct FibaState {
     length: u64,
     slide: u64,
+    /// Slice width `gcd(length, slide)`: every window boundary lies on this
+    /// grid, so a slice never straddles one.
+    grid: u64,
     /// Fresh combinable partials, one per combinable spec (tree item shape).
     template: Vec<PaneAgg>,
     /// Per spec: `Some(index into template)` for combinable kinds, `None`
@@ -270,6 +281,19 @@ struct FibaState {
     /// Registered-but-unemitted `(end, start, key)` windows, drained in the
     /// per-window path's emission order as the watermark advances.
     pending: BTreeSet<(Timestamp, Timestamp, Key)>,
+    /// Emptied key states kept for the next new key, so a key whose windows
+    /// all closed does not rebuild its tree; at most [`SPARE_KEY_STATES`].
+    spare: Vec<FibaKeyState>,
+}
+
+/// Bound on [`FibaState::spare`].
+const SPARE_KEY_STATES: usize = 256;
+
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
 }
 
 /// Fresh [`OrderStat`] states for every non-combinable spec, in spec order.
@@ -288,6 +312,38 @@ fn build_order_stats(aggs: &[AggregateSpec]) -> Vec<OrderStat> {
             _ => None,
         })
         .collect()
+}
+
+/// Fold one row's values into a window's [`OrderStat`]s; `uniq` is the key's
+/// rank-tree disambiguator.
+fn fold_order_stats(
+    states: &mut [OrderStat],
+    slots: &[Option<usize>],
+    aggs: &[AggregateSpec],
+    row: &Row,
+    uniq: &mut u64,
+) {
+    let order_specs = slots.iter().zip(aggs).filter(|(slot, _)| slot.is_none());
+    for (state, (_, spec)) in states.iter_mut().zip(order_specs) {
+        match state {
+            OrderStat::Rank { tree, .. } => {
+                if let Some(x) = row.get(spec.field).as_f64() {
+                    // `uniq` grows in insertion order, so equal value bits
+                    // keep insert-after-equals order — exactly the array
+                    // QuantileAgg's sorted insert produces.
+                    tree.insert((f64_to_ordered(x), *uniq), ());
+                    *uniq += 1;
+                }
+            }
+            OrderStat::Distinct(set) => {
+                let v = row.get(spec.field);
+                if !v.is_null() {
+                    // quill-lint: allow(hot-path-alloc, reason = "distinct-count semantics require an owned copy of each new value")
+                    set.insert(Key(v.clone()));
+                }
+            }
+        }
+    }
 }
 
 /// Finalize a rank tree exactly as `aggregate::quantile_sorted` would
@@ -494,10 +550,12 @@ impl WindowAggregateOp {
         Some(FibaState {
             length,
             slide,
+            grid: gcd(length, slide),
             template,
             slots,
             keys: BTreeMap::new(),
             pending: BTreeSet::new(),
+            spare: Vec::new(),
         })
     }
 
@@ -669,10 +727,10 @@ impl WindowAggregateOp {
         }
     }
 
-    /// FiBA ingest: one `(ts, seq)` insert into the key's time tree carrying
-    /// the event's combinable partials, plus registering the event's
-    /// still-open windows as pending and folding order-statistic values into
-    /// those windows' rank trees / distinct sets.
+    /// FiBA ingest: combine the event in place into its slice of the key's
+    /// time tree, registering the slice's still-open windows as pending when
+    /// the slice is new, and fold order-statistic values into those windows'
+    /// rank trees / distinct sets.
     fn fold_event_fiba(&mut self, e: &Event) {
         let key = self.key_of(&e.row);
         let wm = self.watermark.raw();
@@ -681,8 +739,10 @@ impl WindowAggregateOp {
         let t = e.ts.raw();
         let home = t / fs.slide * fs.slide;
         // The last window containing `t` ends at `home + length`; if the
-        // watermark passed it, every containing window is closed.
-        if home.saturating_add(fs.length) <= wm {
+        // watermark passed it, every containing window is closed. A saturated
+        // end at or below `t` (only `t = u64::MAX`) means no window holds it.
+        let last_end = home.saturating_add(fs.length);
+        if last_end <= wm || last_end <= t {
             self.stats.late_dropped += 1;
             if self.trace.is_enabled() {
                 let missed: Vec<(u64, u64)> = self
@@ -702,66 +762,62 @@ impl WindowAggregateOp {
             }
             return;
         }
-        // Build the event's slice of combinable partials and insert it once,
-        // keyed `(ts, seq)`: an in-order arrival lands at the right finger in
-        // O(1) amortized, a straggler in O(log n) — never an O(n) shift.
-        // quill-lint: allow(hot-path-alloc, reason = "per-event slice of combinable partials: a handful of enum words cloned once per accepted event, the FiBA analogue of the paned path's per-pane template clone")
-        let mut partials = fs.template.clone();
-        for (slot, spec) in fs.slots.iter().zip(&self.aggs) {
-            if let Some(j) = *slot {
-                partials[j].insert_row(e.ts, e.row.get(spec.field), &e.row);
-            }
-        }
-        let ks = fs.keys.entry(key.clone()).or_insert_with(|| FibaKeyState {
-            time: FibaTree::new(),
-            windows: BTreeMap::new(),
-            uniq: 0,
-        });
-        ks.time.insert((t, e.seq), EventSlice(partials));
+        let spare = &mut fs.spare;
+        let ks = fs
+            .keys
+            .entry(key.clone())
+            .or_insert_with(|| spare.pop().unwrap_or_default());
+        let (template, slots, aggs) = (&fs.template, &fs.slots, &self.aggs);
+        // Window boundaries lie on the slice grid, so the windows containing
+        // `t` are exactly those containing its slice start: registering them
+        // when the slice is created covers every later event of the slice.
+        let created = ks.time.upsert_with(
+            (t / fs.grid * fs.grid, 0),
+            || Pane {
+                partials: template.clone(),
+                rows: 0,
+            },
+            |slice| {
+                for (slot, spec) in slots.iter().zip(aggs) {
+                    if let Some(j) = *slot {
+                        slice.partials[j].insert_row(e.ts, e.row.get(spec.field), &e.row);
+                    }
+                }
+                slice.rows += 1;
+            },
+        );
         self.stats.agg_inserts += 1;
         self.stats.accepted += 1;
         let has_order = fs.slots.iter().any(|s| s.is_none());
-        for w in self.spec.assign(e.ts) {
-            if w.end.raw() <= wm {
-                continue; // closed; Drop policy — already emitted, stays final
+        if !created && !has_order {
+            return;
+        }
+        // Walk the windows containing `t` from the newest start back.
+        let mut start = home;
+        loop {
+            let end = start.saturating_add(fs.length);
+            if end <= t {
+                break;
             }
-            // quill-lint: allow(hot-path-alloc, reason = "BTreeSet registration needs an owned key per assigned window; a key is one small Value")
-            fs.pending.insert((w.end, w.start, key.clone()));
-            if !has_order {
-                continue;
-            }
-            self.stats.agg_inserts += 1;
-            let states = ks
-                .windows
-                .entry((w.end, w.start))
-                .or_insert_with(|| build_order_stats(&self.aggs));
-            let mut oi = 0;
-            for (slot, spec) in fs.slots.iter().zip(&self.aggs) {
-                if slot.is_some() {
-                    continue;
+            if end > wm {
+                let w = (Timestamp(end), Timestamp(start));
+                if created {
+                    // quill-lint: allow(hot-path-alloc, reason = "BTreeSet registration needs an owned key; once per window of a new slice, not per event")
+                    fs.pending.insert((w.0, w.1, key.clone()));
                 }
-                match states.get_mut(oi) {
-                    Some(OrderStat::Rank { tree, .. }) => {
-                        if let Some(x) = e.row.get(spec.field).as_f64() {
-                            let u = ks.uniq;
-                            ks.uniq += 1;
-                            // `uniq` grows in insertion order, so equal value
-                            // bits keep insert-after-equals order — exactly
-                            // the array QuantileAgg's sorted insert produces.
-                            tree.insert((f64_to_ordered(x), u), ());
-                        }
-                    }
-                    Some(OrderStat::Distinct(set)) => {
-                        let v = e.row.get(spec.field);
-                        if !v.is_null() {
-                            // quill-lint: allow(hot-path-alloc, reason = "distinct-count semantics require an owned copy of each new value")
-                            set.insert(Key(v.clone()));
-                        }
-                    }
-                    None => {}
+                if has_order {
+                    self.stats.agg_inserts += 1;
+                    let states = ks
+                        .windows
+                        .entry(w)
+                        .or_insert_with(|| build_order_stats(aggs));
+                    fold_order_stats(states, slots, aggs, &e.row, &mut ks.uniq);
                 }
-                oi += 1;
             }
+            if start < fs.slide {
+                break;
+            }
+            start -= fs.slide;
         }
     }
 
@@ -808,6 +864,15 @@ impl WindowAggregateOp {
         self.watermark = wm;
         if self.fiba.is_some() {
             self.drain_pending_fiba(wm, out);
+            if wm == Timestamp::MAX {
+                // End of stream: no new key can arrive. Free the spare key
+                // states now, on the thread that allocated them, rather than
+                // whenever the operator drops; held until then, they keep
+                // a parallel worker's heap from shrinking.
+                if let Some(fs) = self.fiba.as_mut() {
+                    fs.spare = Vec::new();
+                }
+            }
             out(StreamElement::Watermark(wm));
             return;
         }
@@ -1003,15 +1068,14 @@ impl WindowAggregateOp {
         // quill-lint: allow(no-panic, reason = "emit_fiba_window is only called from drain_pending_fiba, which already held the fiba state")
         let fs = self.fiba.as_mut().expect("fiba path");
         let (s, e) = (start.raw(), end.raw());
-        let mut combined: Option<EventSlice> = None;
-        let mut count = 0u64;
+        let mut combined: Option<Pane> = None;
         let mut order: Vec<OrderStat> = Vec::new();
         if let Some(ks) = fs.keys.get_mut(key) {
             // Registered windows have `end ≥ 1` (start ≥ 0, length ≥ 1), so
             // the inclusive upper bound `(end − 1, MAX)` cannot underflow.
-            let (agg, n) = ks.time.range_agg((s, 0), (e - 1, u64::MAX));
-            combined = agg;
-            count = n;
+            // Slices never straddle a window boundary, so the slices starting
+            // in `[start, end)` hold exactly the window's events.
+            combined = ks.time.range_agg((s, 0), (e - 1, u64::MAX)).0;
             order = ks.windows.remove(&(end, start)).unwrap_or_default();
             // Bulk eviction: entries before the next possible window start of
             // this key (`start + slide`) can never be covered again. Pending
@@ -1019,15 +1083,20 @@ impl WindowAggregateOp {
             // after `start + slide` on the slide grid.
             ks.time.evict_before((s.saturating_add(fs.slide), 0));
             if ks.time.is_empty() && ks.windows.is_empty() {
-                fs.keys.remove(key);
+                if let Some(emptied) = fs.keys.remove(key) {
+                    if fs.spare.len() < SPARE_KEY_STATES {
+                        fs.spare.push(emptied);
+                    }
+                }
             }
         }
+        let count = combined.as_ref().map_or(0, |slice| slice.rows);
         let mut aggregates = Vec::with_capacity(self.aggs.len());
         let mut oi = 0;
         for (spec, slot) in self.aggs.iter().zip(&fs.slots) {
             match slot {
                 Some(j) => aggregates.push(match &combined {
-                    Some(slice) => slice.0[*j].finalize(),
+                    Some(slice) => slice.partials[*j].finalize(),
                     // Defensive: a registered window always covers ≥ 1
                     // accepted event, but emit an empty result rather than
                     // lose the window.

@@ -4,8 +4,8 @@
 //! is a drop-in replacement for the legacy window state:
 //!
 //! 1. **Structure vs. a naive sorted-Vec model** — random interleavings of
-//!    in-order / out-of-order inserts, bulk evictions and range queries are
-//!    replayed against a flat sorted vector. The tree item is an
+//!    in-order / out-of-order inserts, in-place upserts, bulk evictions and
+//!    range queries are replayed against a flat sorted vector. The tree item is an
 //!    order-*recording* aggregate (concatenation), so a matching range
 //!    aggregate proves both membership and left-to-right combine order, not
 //!    just a commutative summary.
@@ -23,7 +23,9 @@ use quill_engine::aggregate::{AggregateKind, AggregateSpec};
 use quill_engine::fiba::{
     f64_to_ordered, ordered_to_f64, FibaItem, FibaKey, FibaTree, WindowState,
 };
-use quill_engine::operator::{LatePolicy, Operator, WindowAggregateOp, WindowResult};
+use quill_engine::operator::{
+    LatePolicy, Operator, WindowAggregateOp, WindowOpStats, WindowResult,
+};
 use quill_engine::prelude::*;
 
 // ---------------------------------------------------------------------------
@@ -54,6 +56,21 @@ impl Model {
     fn insert(&mut self, key: FibaKey, item: Trace) {
         let at = self.entries.partition_point(|(k, _)| *k <= key);
         self.entries.insert(at, (key, item));
+    }
+
+    /// Append `mark` to the entry at `key`, inserting an empty entry first
+    /// when there is none. Upsert keys never collide with insert keys.
+    fn upsert(&mut self, key: FibaKey, mark: FibaKey) -> bool {
+        match self.entries.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, item)) => {
+                item.0.push(mark);
+                false
+            }
+            None => {
+                self.insert(key, Trace(vec![mark]));
+                true
+            }
+        }
     }
 
     fn range_agg(&self, lo: FibaKey, hi: FibaKey) -> (Option<Trace>, u64) {
@@ -87,6 +104,9 @@ enum TreeOp {
     /// Insert at this timestamp (seq is assigned monotonically at replay, so
     /// equal timestamps are tie-dense but stably ordered).
     Insert(u64),
+    /// Combine into the unique entry keyed `(ts, MAX)`, creating it when
+    /// absent (the slice-keyed window state's fold).
+    Upsert(u64),
     /// Bulk-evict everything strictly below `(cut, 0)`.
     Evict(u64),
     /// Inclusive range aggregate + count over `[lo, lo + span]`.
@@ -105,6 +125,8 @@ fn tree_ops() -> impl Strategy<Value = Vec<TreeOp>> {
         (0u64..64).prop_map(TreeOp::Insert),
         (0u64..64).prop_map(TreeOp::Insert),
         (0u64..64).prop_map(TreeOp::Insert),
+        (0u64..64).prop_map(TreeOp::Upsert),
+        (0u64..64).prop_map(TreeOp::Upsert),
         (0u64..64).prop_map(TreeOp::Evict),
         (0u64..64, 0u64..32).prop_map(|(lo, span)| TreeOp::Range(lo, span)),
         (0u64..64, 0u64..32).prop_map(|(lo, span)| TreeOp::Range(lo, span)),
@@ -127,6 +149,15 @@ proptest! {
                     seq += 1;
                     tree.insert(key, Trace(vec![key]));
                     model.insert(key, Trace(vec![key]));
+                }
+                TreeOp::Upsert(ts) => {
+                    // Insert keys carry seq < 250, so `(ts, MAX)` is unique
+                    // to upserts; the mark records which upsert this was.
+                    let (key, mark) = ((ts, u64::MAX), (ts, seq));
+                    seq += 1;
+                    let created =
+                        tree.upsert_with(key, || Trace(Vec::new()), |t| t.0.push(mark));
+                    prop_assert_eq!(created, model.upsert(key, mark));
                 }
                 TreeOp::Evict(cut) => {
                     let dropped = tree.evict_before((cut, 0));
@@ -282,7 +313,7 @@ fn run_backend(
     key_field: Option<usize>,
     state: WindowState,
     input: &[StreamElement],
-) -> Vec<WindowResult> {
+) -> (Vec<WindowResult>, WindowOpStats) {
     let mut op = WindowAggregateOp::new(window, aggs.to_vec(), key_field, LatePolicy::Drop)
         .expect("valid spec")
         .with_window_state(state);
@@ -303,7 +334,7 @@ fn run_backend(
             }
         }
     });
-    out
+    (out, op.stats())
 }
 
 fn assert_backends_agree(
@@ -313,13 +344,24 @@ fn assert_backends_agree(
     input: &[StreamElement],
     integer_inputs: bool,
 ) {
-    let fiba = run_backend(window, aggs, key_field, WindowState::Fiba, input);
-    let legacy = run_backend(window, aggs, key_field, WindowState::Legacy, input);
+    let (fiba, fiba_stats) = run_backend(window, aggs, key_field, WindowState::Fiba, input);
+    let (legacy, legacy_stats) = run_backend(window, aggs, key_field, WindowState::Legacy, input);
     assert_eq!(fiba.len(), legacy.len(), "result counts diverged");
     assert!(!fiba.is_empty(), "stream produced no windows");
+    assert_eq!(fiba_stats.accepted, legacy_stats.accepted, "{window:?}");
+    assert_eq!(
+        fiba_stats.late_dropped, legacy_stats.late_dropped,
+        "{window:?}"
+    );
+    assert_eq!(fiba_stats.windows_emitted, legacy_stats.windows_emitted);
     for (f, l) in fiba.iter().zip(&legacy) {
         assert_eq!(f.window, l.window);
         assert_eq!(f.key, l.key);
+        assert_eq!(
+            f.count, l.count,
+            "count in window {:?} key {:?}",
+            f.window, f.key
+        );
         assert_eq!(f.aggregates.len(), l.aggregates.len());
         for (spec, (fv, lv)) in aggs.iter().zip(f.aggregates.iter().zip(&l.aggregates)) {
             let name = spec.name.as_str();
@@ -388,6 +430,68 @@ fn all_fourteen_kinds_are_exact_on_integer_valued_floats() {
         assert_backends_agree(window, &all_kinds(), Some(0), &input, true);
         assert_backends_agree(window, &all_kinds(), None, &input, true);
     }
+}
+
+/// Disorder aimed at the slice-keyed fold (slices on a 100 grid at the
+/// finest): stragglers land 1–4 slices behind the newest one, inside windows
+/// that are still open; every 37th event is far enough back to be late; and
+/// timestamps repeat with `seq` scrambled against arrival order, so Edge/Arg
+/// ties are decided by arrival order alone.
+fn interior_straggler_stream(n: u64) -> Vec<StreamElement> {
+    let mut out = Vec::new();
+    let mut max_ts = 0u64;
+    let mut prev_ts = 0u64;
+    for i in 0..n {
+        let front = 500 + i * 7;
+        let ts = if i % 37 == 36 {
+            front.saturating_sub(2_500)
+        } else if i % 6 == 1 {
+            front.saturating_sub(100 * (1 + i % 4) + i % 50)
+        } else if i % 5 == 2 {
+            prev_ts
+        } else {
+            front
+        };
+        prev_ts = ts;
+        max_ts = max_ts.max(ts);
+        let v = if i % 11 == 10 {
+            Value::Null
+        } else {
+            Value::Float(((i * 37) % 101) as f64 - 50.0)
+        };
+        let by = Value::Float(((i * 29) % 7) as f64);
+        // 7919 is prime to n, so seq is a permutation of 0..n.
+        let seq = (i * 7919) % n;
+        out.push(StreamElement::Event(Event::new(
+            ts,
+            seq,
+            Row::new([Value::Int((i % 3) as i64), v, by]),
+        )));
+        if i % 10 == 9 {
+            out.push(StreamElement::Watermark(Timestamp(
+                max_ts.saturating_sub(600),
+            )));
+        }
+    }
+    out
+}
+
+#[test]
+fn slice_keyed_fold_matches_legacy_with_interior_stragglers() {
+    let input = interior_straggler_stream(1_200);
+    for window in [
+        WindowSpec::tumbling(1_000u64),
+        // Divisible: the slice is the pane.
+        WindowSpec::sliding(1_000u64, 200u64),
+        // Not divisible: slices on the gcd grid of 100.
+        WindowSpec::sliding(1_000u64, 300u64),
+    ] {
+        assert_backends_agree(window, &all_kinds(), Some(0), &input, true);
+        assert_backends_agree(window, &all_kinds(), None, &input, true);
+    }
+    let tumbling = WindowSpec::tumbling(1_000u64);
+    let (_, stats) = run_backend(tumbling, &all_kinds(), None, WindowState::Fiba, &input);
+    assert!(stats.late_dropped > 0, "the stream must hold late events");
 }
 
 #[test]
@@ -461,8 +565,8 @@ proptest! {
         }
         let key_field = if keyed { Some(0) } else { None };
         let specs = all_kinds();
-        let fiba = run_backend(WindowSpec::sliding(len, slide), &specs, key_field, WindowState::Fiba, &input);
-        let legacy = run_backend(WindowSpec::sliding(len, slide), &specs, key_field, WindowState::Legacy, &input);
+        let (fiba, _) = run_backend(WindowSpec::sliding(len, slide), &specs, key_field, WindowState::Fiba, &input);
+        let (legacy, _) = run_backend(WindowSpec::sliding(len, slide), &specs, key_field, WindowState::Legacy, &input);
         // Integer-valued floats: everything except Variance/StdDev (whose
         // Welford-vs-Chan roundings differ even on integers) is bit-exact.
         prop_assert_eq!(fiba.len(), legacy.len());

@@ -247,3 +247,124 @@ fn repeated_grow_shrink_cycles_do_not_degrade_structure() {
         "unit weights must sum to the count"
     );
 }
+
+/// Slice-keyed mirror: one `(slice, 0)` entry per slice, its weight the sum
+/// of every upsert into it.
+fn mirror_upsert(mirror: &mut Mirror, key: (u64, u64), w: u64) -> bool {
+    match mirror.entries.binary_search_by(|(k, _)| k.cmp(&key)) {
+        Ok(at) => {
+            mirror.entries[at].1 = mirror.entries[at].1.wrapping_add(w);
+            false
+        }
+        Err(at) => {
+            mirror.entries.insert(at, (key, w));
+            true
+        }
+    }
+}
+
+/// The window operator's usage: unique `(slice, 0)` keys, each update
+/// combined in place into its slice, bulk evictions behind a moving cut.
+/// Regimes cover the rightmost slice (in-order), existing interior slices,
+/// new interior slices and slices re-created below an earlier cut.
+fn upsert_fuzz_one_seed(seed: u64, steps: usize) {
+    let mut rng = XorShift(seed | 1);
+    let mut tree: FibaTree<Sum> = FibaTree::new();
+    let mut mirror = Mirror {
+        entries: Vec::new(),
+    };
+    let mut max_slice = 0u64;
+    let mut last_cut = 0u64;
+    for step in 0..steps {
+        let roll = rng.next() % 100;
+        if roll < 80 || tree.is_empty() {
+            let slice = match rng.next() % 5 {
+                // In-order: the rightmost slice or the next one.
+                0 | 1 => max_slice + rng.next() % 2,
+                // An existing slice that is not the rightmost.
+                2 if mirror.entries.len() > 1 => {
+                    let at = (rng.next() % (mirror.entries.len() as u64 - 1)) as usize;
+                    mirror.entries[at].0 .0
+                }
+                // Any slice over the live span, new ones included.
+                3 => {
+                    let lo = mirror.entries.first().map_or(max_slice, |(k, _)| k.0);
+                    lo + rng.next() % (max_slice - lo + 1)
+                }
+                // Re-create a slice at or below the last cut.
+                _ => last_cut.saturating_sub(rng.next() % 4),
+            };
+            max_slice = max_slice.max(slice);
+            let key = (slice, 0);
+            let w = rng.next() % 1_000;
+            let created = tree.upsert_with(key, || Sum(0), |s| s.0 = s.0.wrapping_add(w));
+            assert_eq!(
+                created,
+                mirror_upsert(&mut mirror, key, w),
+                "seed {seed} step {step}: upsert({slice}) created-flag diverged"
+            );
+            check(&tree, seed, step, "upsert_with");
+        } else if roll < 92 {
+            let at = (rng.next() % mirror.entries.len() as u64) as usize;
+            let cut = (mirror.entries[at].0 .0 + rng.next() % 2, 0);
+            last_cut = cut.0;
+            assert_eq!(
+                tree.evict_before(cut),
+                mirror.evict_before(cut),
+                "seed {seed} step {step}: eviction count diverged at cut {cut:?}"
+            );
+            check(&tree, seed, step, "evict_before");
+        } else {
+            let lo_slice = rng.next() % (max_slice + 2);
+            let (lo, hi) = ((lo_slice, 0), (lo_slice + rng.next() % 40, u64::MAX));
+            let (got, got_n) = tree.range_agg(lo, hi);
+            let (want, want_n) = mirror.range_sum(lo, hi);
+            assert_eq!(got.map(|s| s.0), want, "seed {seed} step {step}: range_agg");
+            assert_eq!(got_n, want_n, "seed {seed} step {step}: range count");
+        }
+        assert_eq!(
+            tree.len(),
+            mirror.entries.len() as u64,
+            "seed {seed} step {step}: length diverged"
+        );
+    }
+    let mut walked = Vec::new();
+    tree.for_each(&mut |k, item| walked.push((k, item.0)));
+    assert_eq!(walked, mirror.entries, "seed {seed}: final traversal order");
+}
+
+#[test]
+fn upserts_hold_invariants_after_every_call_across_seeds() {
+    for seed in [0x5eed_0101, 0x5eed_0102, 0xbead_feed, 0x0dd_ba11] {
+        upsert_fuzz_one_seed(seed, 3_000);
+    }
+}
+
+#[test]
+fn upsert_into_interior_and_re_created_slices() {
+    let mut tree: FibaTree<Sum> = FibaTree::new();
+    // Enough slices for a multi-level tree.
+    for slice in 0..100u64 {
+        assert!(tree.upsert_with((slice, 0), || Sum(0), |s| s.0 += 1));
+        check(&tree, 0, slice as usize, "append");
+    }
+    assert!(tree.height() > 1, "100 slices must span several levels");
+    // In place into non-rightmost slices: no new entry, caches repaired.
+    for slice in [0u64, 3, 41, 42, 98] {
+        assert!(!tree.upsert_with((slice, 0), || Sum(0), |s| s.0 += 10));
+        check(&tree, 1, slice as usize, "interior upsert");
+    }
+    assert_eq!(tree.len(), 100);
+    assert_eq!(tree.range_agg((41, 0), (42, u64::MAX)), (Some(Sum(22)), 2));
+    // Evict a prefix, then re-create slices below the cut: they come back as
+    // fresh entries at the left end of the tree.
+    assert_eq!(tree.evict_before((60, 0)), 60);
+    check(&tree, 2, 0, "evict_before");
+    for slice in [59u64, 10, 0] {
+        assert!(tree.upsert_with((slice, 0), || Sum(0), |s| s.0 += 5));
+        check(&tree, 3, slice as usize, "re-created slice");
+    }
+    assert_eq!(tree.min_key(), Some((0, 0)));
+    assert_eq!(tree.range_agg((0, 0), (59, u64::MAX)), (Some(Sum(15)), 3));
+    assert_eq!(tree.range_agg((0, 0), (u64::MAX, u64::MAX)).1, 43);
+}
